@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"context"
+	"fmt"
 	"net/netip"
 	"sync"
 	"time"
@@ -39,7 +40,9 @@ const ctxCheckInterval = 1024
 //
 // The permuted index space [0, N) is statically sharded into one
 // contiguous range per worker: a probe is a pure function call chain
-// (Permutation.At, Universe.AddrAt, View.OpenPort) with no channel
+// (Permutation.At — four round-table lookups per Feistel pass — then
+// View.ProbeAt, which resolves the index to an address and its prefix
+// with one search and checks that prefix's shard) with no channel
 // traffic and no heap allocations, and each shard batches its
 // responsive addresses locally. Shards are concatenated in worker
 // order, so the result order is deterministic for a given
@@ -54,7 +57,9 @@ func PortScan(ctx context.Context, nw simnet.View, cfg PortScanConfig) ([]netip.
 // shard's contiguous slice of the same permutation PortScan walks, so
 // the shards of a ShardPlan partition the address space exactly and
 // their union visits every address exactly once. hi is clamped to the
-// universe size; the full range reproduces PortScan.
+// universe size; the full range reproduces PortScan. A universe larger
+// than 2^32 addresses (only possible with overlapping prefixes) is an
+// error: the permutation covers at most the IPv4 space.
 func PortScanRange(ctx context.Context, nw simnet.View, cfg PortScanConfig, lo, hi uint64) ([]netip.Addr, error) {
 	if cfg.Port == 0 {
 		cfg.Port = 4840
@@ -62,8 +67,10 @@ func PortScanRange(ctx context.Context, nw simnet.View, cfg PortScanConfig, lo, 
 	if cfg.Workers <= 0 {
 		cfg.Workers = 64
 	}
-	u := nw.Universe()
-	total := u.Size()
+	total := nw.Universe().Size()
+	if total > maxPermutationSize {
+		return nil, fmt.Errorf("scanner: universe of %d addresses exceeds the 2^32 a port scan covers", total)
+	}
 	if hi > total {
 		hi = total
 	}
@@ -138,11 +145,7 @@ func PortScanRange(ctx context.Context, nw simnet.View, cfg PortScanConfig, lo, 
 					probed = 0
 				}
 				probed++
-				addr, err := u.AddrAt(perm.At(i))
-				if err != nil {
-					continue
-				}
-				if nw.OpenPort(addr, cfg.Port) {
+				if addr, ok := nw.ProbeAt(perm.At(i), cfg.Port); ok {
 					open = append(open, addr)
 				}
 			}

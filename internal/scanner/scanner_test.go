@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	mrand "math/rand"
+	"net"
 	"net/netip"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/uamsg"
 	"repro/internal/uapolicy"
 	"repro/internal/uaserver"
+	"repro/internal/worldview"
 )
 
 func TestPermutationIsBijective(t *testing.T) {
@@ -83,6 +85,52 @@ func TestPermutationRoundMatchesFNV(t *testing.T) {
 		if got, want := p.round(half, round), ref(p, half, round); got != want {
 			t.Fatalf("round(%#x, %d) = %#x, want %#x", half, round, got, want)
 		}
+	}
+}
+
+// refAt is the reference permutation the round table must reproduce:
+// the Feistel network evaluated with round directly, cycle-walked into
+// [0, n).
+func refAt(p *Permutation, i uint64) uint64 {
+	feistel := func(x uint64) uint64 {
+		l, r := x>>p.halfBits, x&p.halfMask
+		for round := uint(0); round < 4; round++ {
+			l, r = r, l^p.round(r, round)
+		}
+		return l<<p.halfBits | r
+	}
+	x := feistel(i)
+	for x >= p.n {
+		x = feistel(x)
+	}
+	return x
+}
+
+// TestPermutationAtMatchesReference pins At's output, which the dataset
+// digest cannot: the open-port set does not depend on probe order. It
+// covers every index of the campaign universe (40 /16 prefixes) and of
+// random small sizes, and a seeded sample of the full IPv4 space.
+func TestPermutationAtMatchesReference(t *testing.T) {
+	check := func(p *Permutation, i uint64) {
+		t.Helper()
+		if got, want := p.At(i), refAt(p, i); got != want {
+			t.Fatalf("n=%d seed=%d: At(%d) = %d, reference %d", p.n, p.seed, i, got, want)
+		}
+	}
+	campaign := NewPermutation(40<<16, 2020)
+	for i := uint64(0); i < campaign.n; i++ {
+		check(campaign, i)
+	}
+	rng := mrand.New(mrand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		p := NewPermutation(uint64(rng.Intn(5000))+1, rng.Uint64())
+		for i := uint64(0); i < p.n; i++ {
+			check(p, i)
+		}
+	}
+	full := NewPermutation(1<<32, rng.Uint64())
+	for k := 0; k < 100000; k++ {
+		check(full, rng.Uint64()&(1<<32-1))
 	}
 }
 
@@ -328,6 +376,19 @@ func TestPortScanShardsMatchSingleWorker(t *testing.T) {
 				t.Errorf("workers=%d: address %s count off by %d", workers, a, n)
 			}
 		}
+	}
+}
+
+// TestPortScanRejectsOversizedUniverse: overlapping prefixes can sum
+// past 2^32 addresses, beyond what the permutation covers.
+func TestPortScanRejectsOversizedUniverse(t *testing.T) {
+	half, err := simnet.NewPrefix("0.0.0.0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := simnet.New(simnet.NewUniverse(half, half, half))
+	if _, err := PortScan(context.Background(), nw, PortScanConfig{}); err == nil {
+		t.Fatal("port scan over 3*2^31 addresses accepted")
 	}
 }
 
@@ -602,9 +663,45 @@ func BenchmarkPortScanTelemetry(b *testing.B) {
 	b.Run("telemetry=on", func(b *testing.B) { run(b, telemetry.New()) })
 }
 
+// BenchmarkPortScanSnapshot sweeps the campaign's probe path: a
+// worldview snapshot over 40 /16 prefixes (the campaign universe) with
+// a few hundred hosts and the campaign's noise rate, at the default
+// worker count. BenchmarkPortScan64K sweeps the one-prefix Network.
+func BenchmarkPortScanSnapshot(b *testing.B) {
+	var prefixes []simnet.Prefix
+	for i := 0; i < 40; i++ {
+		p, err := simnet.NewPrefix(netip.AddrFrom4([4]byte{100, byte(64 + i), 0, 0}).String(), 16)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prefixes = append(prefixes, p)
+	}
+	u := simnet.NewUniverse(prefixes...)
+	builder, err := worldview.NewBuilder(worldview.Config{Universe: u, Noise: simnet.Noise{Prob: 0.002, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for h := uint64(0); h < 300; h++ {
+		a, err := u.AddrAt(h * 8737)
+		if err != nil {
+			b.Fatal(err)
+		}
+		builder.AddHost(a, 4840, 65000, simnet.HandlerFunc(func(net.Conn) {}))
+	}
+	snap := builder.Build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PortScan(context.Background(), snap, PortScanConfig{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPermutation(b *testing.B) {
 	p := NewPermutation(1<<32, 7)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.At(uint64(i) & 0xFFFFFFFF)
 	}

@@ -51,7 +51,8 @@ func NewPrefix(base string, bits int) (Prefix, error) {
 	if !addr.Is4() {
 		return Prefix{}, fmt.Errorf("simnet: %s is not IPv4", base)
 	}
-	if bits < 0 || bits > 32 {
+	// A /0 would need Size 1<<32, which overflows the uint32 field.
+	if bits < 1 || bits > 32 {
 		return Prefix{}, fmt.Errorf("simnet: invalid prefix length %d", bits)
 	}
 	return Prefix{Base: addr, Size: 1 << (32 - bits)}, nil
@@ -130,8 +131,25 @@ func (u *Universe) Size() uint64 { return u.total }
 
 // AddrAt maps a linear index to an address.
 func (u *Universe) AddrAt(i uint64) (netip.Addr, error) {
-	if i >= u.total {
+	a, k := u.Locate(i)
+	if k < 0 {
 		return netip.Addr{}, fmt.Errorf("simnet: index %d outside universe", i)
+	}
+	return a, nil
+}
+
+// Locate maps a linear index to its address and the index of the
+// universe prefix that PrefixIndex reports for that address, resolving
+// the index with one search; it returns (zero Addr, -1) for i >= Size.
+// With disjoint prefixes that is the prefix the index falls in. With
+// overlapping prefixes an address of a later prefix may also lie in an
+// earlier one, so Locate keeps PrefixIndex's first match by walking the
+// prefix list as PrefixIndex does.
+//
+//studyvet:hotpath — called once per probed address
+func (u *Universe) Locate(i uint64) (netip.Addr, int) {
+	if i >= u.total {
+		return netip.Addr{}, -1
 	}
 	// Find the prefix whose range contains i: the last k with cum[k] <= i.
 	lo, hi := 0, len(u.prefixes)-1
@@ -143,7 +161,11 @@ func (u *Universe) AddrAt(i uint64) (netip.Addr, error) {
 			hi = mid - 1
 		}
 	}
-	return u.prefixes[lo].AddrAt(uint32(i - u.cum[lo])), nil
+	a := u.prefixes[lo].AddrAt(uint32(i - u.cum[lo]))
+	if u.byBase == nil {
+		return a, u.PrefixIndex(a)
+	}
+	return a, lo
 }
 
 // Contains reports whether the universe contains the address.
@@ -196,9 +218,12 @@ func (u *Universe) NumPrefixes() int { return len(u.prefixes) }
 type View interface {
 	// Universe returns the scannable address space.
 	Universe() *Universe
-	// OpenPort reports whether a TCP connect would succeed, without
-	// spawning handlers (the port-scan fast path).
-	OpenPort(ip netip.Addr, port int) bool
+	// ProbeAt resolves the universe's linear index i and reports
+	// whether a TCP connect to that address on port would succeed,
+	// without spawning handlers (the port-scan fast path). It equals
+	// AddrAt followed by the concrete views' OpenPort, with one prefix
+	// search instead of two.
+	ProbeAt(i uint64, port int) (netip.Addr, bool)
 	// ASOf returns the autonomous system of an address.
 	ASOf(ip netip.Addr) int
 	// DialContext connects to "ip:port" like net.Dialer.
@@ -495,9 +520,25 @@ func ServeNoise(conn net.Conn) {
 var _ View = (*Network)(nil)
 
 // OpenPort reports whether a TCP connect to the address would succeed,
-// without spawning handlers. The port-scan stage uses it as its fast
-// SYN-probe path; the result matches DialContext behaviour exactly.
+// without spawning handlers; the result matches DialContext behaviour
+// exactly. Tests use it as the oracle for ProbeAt.
 func (n *Network) OpenPort(ip netip.Addr, port int) bool {
+	return n.open(ip, port, n.universe.Contains(ip))
+}
+
+// ProbeAt implements View: Locate plus the OpenPort check, with the
+// universe membership Locate already established.
+func (n *Network) ProbeAt(i uint64, port int) (netip.Addr, bool) {
+	ip, k := n.universe.Locate(i)
+	if k < 0 {
+		return ip, false
+	}
+	return ip, n.open(ip, port, true)
+}
+
+// open is the check OpenPort and ProbeAt share; inUniverse gates the
+// noise model, which only applies inside the universe.
+func (n *Network) open(ip netip.Addr, port int, inUniverse bool) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	if len(n.excludedIPs) > 0 && n.excludedIPs[ip] {
@@ -506,5 +547,5 @@ func (n *Network) OpenPort(ip netip.Addr, port int) bool {
 	if _, ok := n.hosts[netip.AddrPortFrom(ip, uint16(port))]; ok {
 		return true
 	}
-	return n.isNoise(ip, port)
+	return inUniverse && n.NoiseModel().HitInUniverse(ip, port)
 }

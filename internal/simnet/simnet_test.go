@@ -50,14 +50,20 @@ func TestPrefixAndUniverse(t *testing.T) {
 }
 
 func TestNewPrefixValidation(t *testing.T) {
-	if _, err := NewPrefix("not-an-ip", 24); err == nil {
-		t.Error("bad IP accepted")
-	}
-	if _, err := NewPrefix("2001:db8::1", 64); err == nil {
-		t.Error("IPv6 accepted")
-	}
-	if _, err := NewPrefix("10.0.0.0", 40); err == nil {
-		t.Error("bad prefix length accepted")
+	for _, tc := range []struct {
+		base string
+		bits int
+		why  string
+	}{
+		{"not-an-ip", 24, "bad IP"},
+		{"2001:db8::1", 64, "IPv6"},
+		{"10.0.0.0", 40, "prefix length above 32"},
+		{"0.0.0.0", 0, "/0, whose size overflows uint32"},
+		{"10.0.0.0", -1, "negative prefix length"},
+	} {
+		if p, err := NewPrefix(tc.base, tc.bits); err == nil {
+			t.Errorf("%s accepted: NewPrefix(%q, %d) = %+v", tc.why, tc.base, tc.bits, p)
+		}
 	}
 }
 
@@ -324,5 +330,20 @@ func TestUniversePrefixIndexBinarySearch(t *testing.T) {
 	}
 	if _, err := disjoint.AddrAt(disjoint.Size()); err == nil {
 		t.Error("AddrAt past the universe should error")
+	}
+	// Locate must return AddrAt's address and PrefixIndex's prefix for
+	// it: on the overlapping universe the second prefix's addresses
+	// belong to the first by first match.
+	for _, u := range []*Universe{disjoint, overlapping} {
+		for i := uint64(0); i < u.Size(); i += 61 {
+			a, k := u.Locate(i)
+			want, _ := u.AddrAt(i)
+			if a != want || k != u.PrefixIndex(a) {
+				t.Fatalf("Locate(%d) = %s, %d; want %s, %d", i, a, k, want, u.PrefixIndex(a))
+			}
+		}
+		if a, k := u.Locate(u.Size()); a.IsValid() || k != -1 {
+			t.Errorf("Locate past the universe = %s, %d", a, k)
+		}
 	}
 }

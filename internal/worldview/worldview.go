@@ -165,21 +165,45 @@ func (s *Snapshot) NumHosts() int { return s.hosts }
 // NumShards returns the shard count (universe prefixes + 1).
 func (s *Snapshot) NumShards() int { return len(s.shards) }
 
-// shardFor resolves an address's shard with a single prefix walk; the
+// shardFor resolves an address's shard with a single prefix search; the
 // second result reports whether the address is inside the universe
 // (needed by the noise model, which only applies there).
 func (s *Snapshot) shardFor(ip netip.Addr) (*shard, bool) {
-	i := s.cfg.Universe.PrefixIndex(ip)
-	if i < 0 {
+	return s.shardAt(s.cfg.Universe.PrefixIndex(ip))
+}
+
+// shardAt maps a prefix index (-1 outside the universe) to its shard.
+func (s *Snapshot) shardAt(prefix int) (*shard, bool) {
+	if prefix < 0 {
 		return &s.shards[len(s.shards)-1], false
 	}
-	return &s.shards[i], true
+	return &s.shards[prefix], true
 }
 
 // OpenPort reports whether a TCP connect to the address would succeed,
 // without spawning handlers; the result matches DialContext exactly.
+// Tests use it as the oracle for ProbeAt.
 func (s *Snapshot) OpenPort(ip netip.Addr, port int) bool {
-	sh, inUniverse := s.shardFor(ip)
+	return s.open(ip, port, s.cfg.Universe.PrefixIndex(ip))
+}
+
+// ProbeAt implements simnet.View. Universe.Locate returns the prefix
+// PrefixIndex would, so it indexes the shard directly and the probe
+// does no second search.
+//
+//studyvet:hotpath — called once per probed address
+func (s *Snapshot) ProbeAt(i uint64, port int) (netip.Addr, bool) {
+	ip, prefix := s.cfg.Universe.Locate(i)
+	if prefix < 0 {
+		return ip, false
+	}
+	return ip, s.open(ip, port, prefix)
+}
+
+// open is the check OpenPort and ProbeAt share, given the address's
+// prefix index.
+func (s *Snapshot) open(ip netip.Addr, port, prefix int) bool {
+	sh, inUniverse := s.shardAt(prefix)
 	// Exclusion lists are tiny (usually empty); skip the map hash on
 	// the per-probe path when the shard has none.
 	if len(sh.excluded) > 0 && sh.excluded[ip] {

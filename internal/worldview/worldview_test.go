@@ -11,7 +11,8 @@ import (
 	"repro/internal/simnet"
 )
 
-func testUniverse(t *testing.T) *simnet.Universe {
+// testUniverse is three disjoint /24s followed by any extra prefixes.
+func testUniverse(t *testing.T, extra ...simnet.Prefix) *simnet.Universe {
 	t.Helper()
 	var prefixes []simnet.Prefix
 	for _, base := range []string{"192.0.2.0", "198.51.100.0", "203.0.113.0"} {
@@ -21,7 +22,7 @@ func testUniverse(t *testing.T) *simnet.Universe {
 		}
 		prefixes = append(prefixes, p)
 	}
-	return simnet.NewUniverse(prefixes...)
+	return simnet.NewUniverse(append(prefixes, extra...)...)
 }
 
 // echoHandler answers one byte so dials are observable.
@@ -34,10 +35,11 @@ var echoHandler = simnet.HandlerFunc(func(conn net.Conn) {
 })
 
 // buildPair registers the same population on a mutable Network and a
-// Snapshot so tests can require identical behaviour.
-func buildPair(t *testing.T) (*simnet.Network, *Snapshot) {
+// Snapshot over testUniverse(t, extra...) so tests can require
+// identical behaviour.
+func buildPair(t *testing.T, extra ...simnet.Prefix) (*simnet.Network, *Snapshot) {
 	t.Helper()
-	u := testUniverse(t)
+	u := testUniverse(t, extra...)
 	nw := simnet.New(u)
 	nw.SetNoise(0.25)
 
@@ -64,35 +66,59 @@ func buildPair(t *testing.T) (*simnet.Network, *Snapshot) {
 
 // TestSnapshotMatchesNetworkOpenPort sweeps the full universe plus the
 // out-of-universe host and requires OpenPort parity with the mutable
-// network, including the deterministic noise model.
+// network, including the deterministic noise model, and requires both
+// views' ProbeAt to equal AddrAt followed by OpenPort at every index.
+// The overlapping universe adds 192.0.2.0/25 after the /24 holding it,
+// so its addresses (a host and the excluded IP among them) belong to
+// the /24's shard by first match.
 func TestSnapshotMatchesNetworkOpenPort(t *testing.T) {
-	nw, snap := buildPair(t)
-	u := nw.Universe()
-	noise := 0
-	for i := uint64(0); i < u.Size(); i++ {
-		addr, err := u.AddrAt(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, port := range []int{4840, 4841} {
-			got, want := snap.OpenPort(addr, port), nw.OpenPort(addr, port)
-			if got != want {
-				t.Fatalf("OpenPort(%s, %d) = %v, network says %v", addr, port, got, want)
+	overlap, err := simnet.NewPrefix("192.0.2.0", 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]simnet.Prefix{nil, {overlap}} {
+		nw, snap := buildPair(t, extra...)
+		u := nw.Universe()
+		views := []struct {
+			name string
+			v    simnet.View
+		}{{"snapshot", snap}, {"network", nw}}
+		noise := 0
+		for i := uint64(0); i < u.Size(); i++ {
+			addr, err := u.AddrAt(i)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got && port == 4840 {
-				noise++
+			for _, port := range []int{4840, 4841} {
+				got, want := snap.OpenPort(addr, port), nw.OpenPort(addr, port)
+				if got != want {
+					t.Fatalf("OpenPort(%s, %d) = %v, network says %v", addr, port, got, want)
+				}
+				if got && port == 4840 {
+					noise++
+				}
+				for _, view := range views {
+					if a, open := view.v.ProbeAt(i, port); a != addr || open != want {
+						t.Fatalf("%s ProbeAt(%d, %d) = %s, %v; want %s, %v", view.name, i, port, a, open, addr, want)
+					}
+				}
 			}
 		}
-	}
-	if noise < 30 {
-		t.Errorf("open 4840 ports = %d, noise model not applied", noise)
-	}
-	out := netip.MustParseAddr("10.9.9.9")
-	if !snap.OpenPort(out, 4840) || snap.OpenPort(out, 4841) {
-		t.Error("out-of-universe host mishandled")
-	}
-	if snap.OpenPort(netip.MustParseAddr("192.0.2.66"), 4840) {
-		t.Error("excluded IP reported open")
+		if noise < 30 {
+			t.Errorf("open 4840 ports = %d, noise model not applied", noise)
+		}
+		for _, view := range views {
+			if a, open := view.v.ProbeAt(u.Size(), 4840); a.IsValid() || open {
+				t.Errorf("%s ProbeAt past the universe = %s, %v", view.name, a, open)
+			}
+		}
+		out := netip.MustParseAddr("10.9.9.9")
+		if !snap.OpenPort(out, 4840) || snap.OpenPort(out, 4841) {
+			t.Error("out-of-universe host mishandled")
+		}
+		if snap.OpenPort(netip.MustParseAddr("192.0.2.66"), 4840) {
+			t.Error("excluded IP reported open")
+		}
 	}
 }
 
