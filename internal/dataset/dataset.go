@@ -328,6 +328,7 @@ func (e *Encoder) Flush() error {
 // memory.
 type Decoder struct {
 	br   *bufio.Reader
+	long []byte // reused accumulator for lines longer than the buffer
 	line int
 }
 
@@ -340,22 +341,59 @@ type Decoder struct {
 // it means corruption, not truncation.
 var ErrTruncatedStream = errors.New("dataset: stream truncated mid-record")
 
-// maxDecodeLine bounds one NDJSON line (matching the encoder side and
-// the fabric's frame bound) so a corrupt stream cannot balloon memory.
-const maxDecodeLine = 16 << 20
+// ErrLineTooLong marks a line longer than maxDecodeLine. Decode stops
+// reading as soon as the line passes the cap, so a corrupt or hostile
+// stream costs at most the cap plus one read buffer of memory; the
+// Decoder is unusable afterwards.
+var ErrLineTooLong = errors.New("dataset: line too long")
+
+const (
+	// maxDecodeLine bounds one NDJSON line (matching the encoder side
+	// and the fabric's frame bound) so a corrupt stream cannot balloon
+	// memory.
+	maxDecodeLine = 16 << 20
+	// decodeBufSize is the read buffer; lines that fit are decoded in
+	// place without a copy.
+	decodeBufSize = 1 << 20
+)
 
 // NewDecoder returns a Decoder reading NDJSON from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, 1<<20)}
+	return &Decoder{br: bufio.NewReaderSize(r, decodeBufSize)}
+}
+
+// readLine returns the next raw line, its newline included when
+// terminated is true. The slice is valid until the next read. A line
+// that fits the buffer is returned in place; a longer one accumulates
+// chunk by chunk and fails with ErrLineTooLong once it passes the cap
+// (plus two bytes for the "\r\n" Decode trims).
+func (d *Decoder) readLine() (raw []byte, terminated bool, err error) {
+	chunk, err := d.br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return chunk, err == nil, err
+	}
+	d.long = append(d.long[:0], chunk...)
+	for err == bufio.ErrBufferFull {
+		if len(d.long) > maxDecodeLine+2 {
+			return nil, false, ErrLineTooLong
+		}
+		chunk, err = d.br.ReadSlice('\n')
+		d.long = append(d.long, chunk...)
+	}
+	return d.long, err == nil, err
 }
 
 // Decode returns the next record, or io.EOF after the last one. A
 // final line missing its newline is decoded leniently when it parses;
-// when it does not, the error wraps ErrTruncatedStream.
+// when it does not, the error wraps ErrTruncatedStream. A line over the
+// size cap fails with an error wrapping ErrLineTooLong.
 func (d *Decoder) Decode() (*HostRecord, error) {
 	for {
-		raw, err := d.br.ReadBytes('\n')
-		terminated := err == nil
+		raw, terminated, err := d.readLine()
+		if err == ErrLineTooLong {
+			d.line++
+			return nil, fmt.Errorf("%w: line %d exceeds %d bytes", err, d.line, maxDecodeLine)
+		}
 		if err != nil && err != io.EOF {
 			return nil, fmt.Errorf("dataset: read: %w", err)
 		}
@@ -369,7 +407,7 @@ func (d *Decoder) Decode() (*HostRecord, error) {
 		}
 		d.line++
 		if len(line) > maxDecodeLine {
-			return nil, fmt.Errorf("dataset: line %d exceeds %d bytes", d.line, maxDecodeLine)
+			return nil, fmt.Errorf("%w: line %d exceeds %d bytes", ErrLineTooLong, d.line, maxDecodeLine)
 		}
 		rec := new(HostRecord)
 		if uerr := json.Unmarshal(line, rec); uerr != nil {

@@ -283,3 +283,63 @@ func TestDecoderTruncatedFinalLine(t *testing.T) {
 		t.Errorf("empty stream: err = %v, want io.EOF", derr)
 	}
 }
+
+// endlessLine serves n bytes of 'x' with no newline, counting what the
+// decoder consumed.
+type endlessLine struct{ n, read int }
+
+func (r *endlessLine) Read(p []byte) (int, error) {
+	if r.read >= r.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), r.n-r.read)
+	for i := range p[:k] {
+		p[i] = 'x'
+	}
+	r.read += k
+	return k, nil
+}
+
+// TestDecoderLineCapStopsReading pins that the line cap bounds memory:
+// a 64 MiB line without a newline fails with ErrLineTooLong after the
+// decoder consumed at most the cap plus one read buffer.
+func TestDecoderLineCapStopsReading(t *testing.T) {
+	r := &endlessLine{n: 64 << 20}
+	_, err := NewDecoder(r).Decode()
+	if !errors.Is(err, ErrLineTooLong) {
+		t.Fatalf("64 MiB line: err = %v, want ErrLineTooLong", err)
+	}
+	if errors.Is(err, ErrTruncatedStream) {
+		t.Errorf("oversized line reported as truncation: %v", err)
+	}
+	if r.read > maxDecodeLine+decodeBufSize {
+		t.Errorf("decoder consumed %d bytes, want at most %d", r.read, maxDecodeLine+decodeBufSize)
+	}
+}
+
+// TestDecoderLineCapBoundary decodes a record line of exactly the cap
+// (padded with JSON whitespace, "\r\n"-terminated) and rejects one byte
+// more, whether or not the line ends in a newline.
+func TestDecoderLineCapBoundary(t *testing.T) {
+	line := func(n int, tail string) []byte {
+		b := bytes.Repeat([]byte(" "), n)
+		copy(b, `{"wave":7}`)
+		return append(b, tail...)
+	}
+	dec := NewDecoder(bytes.NewReader(append(line(maxDecodeLine, "\r\n"), "{\"wave\":6}\n"...)))
+	for _, want := range []int{7, 6} {
+		rec, err := dec.Decode()
+		if err != nil {
+			t.Fatalf("line at the cap: %v", err)
+		}
+		if rec.Wave != want {
+			t.Errorf("wave = %d, want %d", rec.Wave, want)
+		}
+	}
+	for _, tail := range []string{"\n", ""} {
+		_, err := NewDecoder(bytes.NewReader(line(maxDecodeLine+1, tail))).Decode()
+		if !errors.Is(err, ErrLineTooLong) {
+			t.Errorf("line one byte over the cap (tail %q): err = %v, want ErrLineTooLong", tail, err)
+		}
+	}
+}

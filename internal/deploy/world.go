@@ -64,6 +64,9 @@ type World struct {
 	// chaos is the campaign-installed adversarial-host model; wave
 	// binding happens in SnapshotWave/ApplyWave. Zero value: polite.
 	chaos chaos.Model
+	// noise is the snapshots' shared noise layer, computed by the first
+	// SnapshotWave (see noiseLayerLocked).
+	noise *worldview.NoiseLayer
 }
 
 type worldHost struct {
@@ -472,10 +475,11 @@ func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	b, err := worldview.NewBuilder(worldview.Config{
-		Universe: w.Net.Universe(),
-		Noise:    w.Net.NoiseModel(),
-		Latency:  w.Net.Latency(),
-		Chaos:    w.chaos.ForWave(wave),
+		Universe:   w.Net.Universe(),
+		Noise:      w.Net.NoiseModel(),
+		Latency:    w.Net.Latency(),
+		Chaos:      w.chaos.ForWave(wave),
+		NoiseLayer: w.noiseLayerLocked(),
 	})
 	if err != nil {
 		return nil, err
@@ -499,6 +503,19 @@ func (w *World) SnapshotWave(wave int) (*worldview.Snapshot, error) {
 		b.Exclude(ip)
 	}
 	return b.Build(), nil
+}
+
+// noiseLayerLocked returns the noise layer every snapshot clones,
+// computing it on first use (and again should the network's noise
+// model change). A campaign materializes all its waves' views before
+// the first scan, so hashing the universe once instead of per wave
+// keeps that serial path short. The caller holds w.mu.
+func (w *World) noiseLayerLocked() *worldview.NoiseLayer {
+	u, z := w.Net.Universe(), w.Net.NoiseModel()
+	if w.noise == nil || !w.noise.Matches(u, z) {
+		w.noise = worldview.NewNoiseLayer(u, z)
+	}
+	return w.noise
 }
 
 // SetResponseCaches toggles the pre-encoded GetEndpoints/FindServers

@@ -3,6 +3,8 @@ package deploy
 import (
 	"context"
 	"crypto/rsa"
+	"math/rand"
+	"net/netip"
 	"strconv"
 	"sync"
 	"testing"
@@ -492,6 +494,93 @@ func TestMaterializeDeterministicAcrossProcesses(t *testing.T) {
 		if a.hosts[i].prior != nil &&
 			a.hosts[i].prior.ThumbprintHex() != b.hosts[i].prior.ThumbprintHex() {
 			t.Errorf("host %d prior certificate differs between materializations", i)
+		}
+	}
+}
+
+// TestSnapshotProbeMatchesOpenPortCampaignScale is the campaign-scale
+// gate on the candidate bitset: on the seeded test-key world at the
+// benchmark's noise rate, the wave-0 and wave-7 snapshots' ProbeAt must
+// equal the exact OpenPort check at every universe index on port 4840
+// and at a seeded sample of indexes on port 4841, and the world's
+// shared noise layer must equal the noise model at every index.
+func TestSnapshotProbeMatchesOpenPortCampaignScale(t *testing.T) {
+	w, err := Materialize(buildSpec(t), Options{TestKeySizes: true, NoiseProb: 0.002})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := w.Net.Universe()
+	addrs := make([]netip.Addr, u.Size())
+	for i := range addrs {
+		if addrs[i], err = u.AddrAt(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, wave := range []int{0, 7} {
+		snap, err := w.SnapshotWave(wave)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := 0
+		for i, a := range addrs {
+			want := snap.OpenPort(a, 4840)
+			if got := snap.ProbeAt(uint64(i), 4840); got != want {
+				t.Fatalf("wave %d: ProbeAt(%d, 4840) = %v, OpenPort(%s) = %v", wave, i, got, a, want)
+			}
+			if want {
+				open++
+			}
+		}
+		// Noise alone opens ~0.2 % of 2,621,440 addresses.
+		if open < 4000 {
+			t.Errorf("wave %d: %d open 4840 ports, noise model not applied", wave, open)
+		}
+		// Port 4841: a seeded sample, plus every host's index so set
+		// bits are checked on the ports some hosts serve instead.
+		rng := rand.New(rand.NewSource(int64(wave) + 4841))
+		sample := make([]uint64, 0, 100_000+len(w.Spec.Hosts))
+		for k := 0; k < 100_000; k++ {
+			sample = append(sample, uint64(rng.Int63n(int64(len(addrs)))))
+		}
+		for _, h := range w.Spec.Hosts {
+			for k := 0; k < u.NumPrefixes(); k++ {
+				p, start := u.Prefix(k)
+				if off, ok := p.IndexOf(h.IP); ok {
+					sample = append(sample, start+uint64(off))
+				}
+			}
+		}
+		open = 0
+		for _, i := range sample {
+			want := snap.OpenPort(addrs[i], 4841)
+			if got := snap.ProbeAt(i, 4841); got != want {
+				t.Fatalf("wave %d: ProbeAt(%d, 4841) = %v, OpenPort(%s) = %v", wave, i, got, addrs[i], want)
+			}
+			if want {
+				open++
+			}
+		}
+		if open == 0 {
+			t.Errorf("wave %d: no sampled index open on 4841", wave)
+		}
+	}
+
+	w.mu.Lock()
+	layer := w.noise
+	w.mu.Unlock()
+	if layer == nil {
+		t.Fatal("SnapshotWave did not keep the world's noise layer")
+	}
+	if _, err := w.SnapshotWave(3); err != nil {
+		t.Fatal(err)
+	}
+	if w.noise != layer {
+		t.Error("SnapshotWave recomputed an unchanged noise layer")
+	}
+	z := w.Net.NoiseModel()
+	for i, a := range addrs {
+		if got, want := layer.Hit(uint64(i)), z.HitInUniverse(a, 4840); got != want {
+			t.Fatalf("noise layer at %d (%s) = %v, noise model says %v", i, a, got, want)
 		}
 	}
 }

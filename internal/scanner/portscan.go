@@ -41,11 +41,11 @@ const ctxCheckInterval = 1024
 // The permuted index space [0, N) is statically sharded into one
 // contiguous range per worker: a probe is a pure function call chain
 // (Permutation.At — four round-table lookups per Feistel pass — then
-// View.ProbeAt, which resolves the index to an address and its prefix
-// with one search and checks that prefix's shard) with no channel
-// traffic and no heap allocations, and each shard batches its
-// responsive addresses locally. Shards are concatenated in worker
-// order, so the result order is deterministic for a given
+// View.ProbeAt, which on a snapshot answers a closed address with one
+// candidate-bit test) with no channel traffic and no heap allocations.
+// Only an open index is resolved to its address, and each shard
+// batches its responsive addresses locally. Shards are concatenated in
+// worker order, so the result order is deterministic for a given
 // (universe, seed, workers) triple — though callers must not rely on
 // it beyond set equality, which is what the grab stage's deterministic
 // sort consumes.
@@ -67,7 +67,8 @@ func PortScanRange(ctx context.Context, nw simnet.View, cfg PortScanConfig, lo, 
 	if cfg.Workers <= 0 {
 		cfg.Workers = 64
 	}
-	total := nw.Universe().Size()
+	u := nw.Universe()
+	total := u.Size()
 	if total > maxPermutationSize {
 		return nil, fmt.Errorf("scanner: universe of %d addresses exceeds the 2^32 a port scan covers", total)
 	}
@@ -145,7 +146,10 @@ func PortScanRange(ctx context.Context, nw simnet.View, cfg PortScanConfig, lo, 
 					probed = 0
 				}
 				probed++
-				if addr, ok := nw.ProbeAt(perm.At(i), cfg.Port); ok {
+				if idx := perm.At(i); nw.ProbeAt(idx, cfg.Port) {
+					// An open index is inside the universe, so Locate's
+					// prefix result needs no check.
+					addr, _ := u.Locate(idx)
 					open = append(open, addr)
 				}
 			}

@@ -69,8 +69,15 @@ func u32ToAddr(v uint32) netip.Addr {
 
 // Contains reports whether the prefix contains the address.
 func (p Prefix) Contains(a netip.Addr) bool {
+	_, ok := p.IndexOf(a)
+	return ok
+}
+
+// IndexOf is the inverse of AddrAt: the address's offset in the prefix,
+// and whether the prefix contains it.
+func (p Prefix) IndexOf(a netip.Addr) (uint32, bool) {
 	v, base := addrToU32(a), addrToU32(p.Base)
-	return v >= base && v-base < p.Size
+	return v - base, v >= base && v-base < p.Size
 }
 
 // AddrAt returns the i-th address of the prefix.
@@ -146,7 +153,7 @@ func (u *Universe) AddrAt(i uint64) (netip.Addr, error) {
 // earlier one, so Locate keeps PrefixIndex's first match by walking the
 // prefix list as PrefixIndex does.
 //
-//studyvet:hotpath — called once per probed address
+//studyvet:hotpath — called once per open port
 func (u *Universe) Locate(i uint64) (netip.Addr, int) {
 	if i >= u.total {
 		return netip.Addr{}, -1
@@ -209,6 +216,10 @@ func (u *Universe) PrefixIndex(a netip.Addr) int {
 // NumPrefixes returns the number of prefixes in the universe.
 func (u *Universe) NumPrefixes() int { return len(u.prefixes) }
 
+// Prefix returns the k-th prefix and the linear index of its first
+// address, so callers can walk the universe prefix by prefix.
+func (u *Universe) Prefix(k int) (Prefix, uint64) { return u.prefixes[k], u.cum[k] }
+
 // View is the read-only interface over the simulated Internet that the
 // scanner consumes: address-space enumeration, SYN-probe checks, AS
 // attribution and connection establishment. Both the legacy mutable
@@ -218,12 +229,12 @@ func (u *Universe) NumPrefixes() int { return len(u.prefixes) }
 type View interface {
 	// Universe returns the scannable address space.
 	Universe() *Universe
-	// ProbeAt resolves the universe's linear index i and reports
-	// whether a TCP connect to that address on port would succeed,
-	// without spawning handlers (the port-scan fast path). It equals
-	// AddrAt followed by the concrete views' OpenPort, with one prefix
-	// search instead of two.
-	ProbeAt(i uint64, port int) (netip.Addr, bool)
+	// ProbeAt reports whether a TCP connect on port to the address at
+	// the universe's linear index i would succeed, without spawning
+	// handlers (the port-scan fast path); it is false for i >= Size. It
+	// equals AddrAt followed by the concrete views' OpenPort. Callers
+	// resolve the address (AddrAt, Locate) only for open indexes.
+	ProbeAt(i uint64, port int) bool
 	// ASOf returns the autonomous system of an address.
 	ASOf(ip netip.Addr) int
 	// DialContext connects to "ip:port" like net.Dialer.
@@ -528,12 +539,9 @@ func (n *Network) OpenPort(ip netip.Addr, port int) bool {
 
 // ProbeAt implements View: Locate plus the OpenPort check, with the
 // universe membership Locate already established.
-func (n *Network) ProbeAt(i uint64, port int) (netip.Addr, bool) {
+func (n *Network) ProbeAt(i uint64, port int) bool {
 	ip, k := n.universe.Locate(i)
-	if k < 0 {
-		return ip, false
-	}
-	return ip, n.open(ip, port, true)
+	return k >= 0 && n.open(ip, port, true)
 }
 
 // open is the check OpenPort and ProbeAt share; inUniverse gates the

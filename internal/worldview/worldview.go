@@ -18,6 +18,12 @@
 // scanners read them without any locking and scanners working
 // disjoint prefixes touch disjoint memory.
 //
+// Every snapshot also carries an immutable candidate bitset over the
+// universe's linear indexes: bit i is set when the address at i has a
+// registered host on any port or is a noise hit. A port-scan probe of a
+// clear bit is closed without resolving the address; only set bits run
+// the exact check against the shard.
+//
 // Snapshots for different waves share the world's underlying server
 // instances, which is what makes the campaign-scoped crypto-reuse layer
 // (PR 4) work across waves: deploy.World.SetCrypto installs the
@@ -39,6 +45,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -61,7 +68,60 @@ type Config struct {
 	// every registered host polite. Like Noise it is pure function
 	// state, so snapshots stay immutable and shard-equivalent.
 	Chaos chaos.WaveModel
+	// NoiseLayer optionally supplies NewNoiseLayer(Universe, Noise),
+	// which depends on neither the wave nor the population, so a world
+	// computes it once and every snapshot clones it. Nil makes
+	// NewBuilder compute it.
+	NoiseLayer *NoiseLayer
 }
+
+// bitset holds one bit per universe linear index.
+type bitset []uint64
+
+func newBitset(n uint64) bitset { return make(bitset, (n+63)/64) }
+
+func (b bitset) set(i uint64) { b[i/64] |= 1 << (i % 64) }
+
+// has reports whether bit i is set; it is false past the end.
+func (b bitset) has(i uint64) bool {
+	return i/64 < uint64(len(b)) && b[i/64]&(1<<(i%64)) != 0
+}
+
+// NoiseLayer marks the universe's linear indexes whose address is a
+// noise hit (simnet.Noise.HitInUniverse on port 4840). It is immutable
+// and shared by the snapshots built from it.
+type NoiseLayer struct {
+	universe *simnet.Universe
+	noise    simnet.Noise
+	bits     bitset
+}
+
+// NewNoiseLayer walks every universe prefix in order and hashes each
+// address once.
+func NewNoiseLayer(u *simnet.Universe, z simnet.Noise) *NoiseLayer {
+	l := &NoiseLayer{universe: u, noise: z, bits: newBitset(u.Size())}
+	if z.Prob <= 0 {
+		return l
+	}
+	for k := 0; k < u.NumPrefixes(); k++ {
+		p, start := u.Prefix(k)
+		for j := uint32(0); j < p.Size; j++ {
+			if z.HitInUniverse(p.AddrAt(j), 4840) {
+				l.bits.set(start + uint64(j))
+			}
+		}
+	}
+	return l
+}
+
+// Matches reports whether the layer was computed for this universe and
+// noise model.
+func (l *NoiseLayer) Matches(u *simnet.Universe, z simnet.Noise) bool {
+	return l.universe == u && l.noise == z
+}
+
+// Hit reports whether the address at linear index i is a noise hit.
+func (l *NoiseLayer) Hit(i uint64) bool { return l.bits.has(i) }
 
 // host is one registered endpoint of the snapshot.
 type host struct {
@@ -79,19 +139,28 @@ type shard struct {
 
 // Builder accumulates one wave's population and seals it into a
 // Snapshot. Builders are not safe for concurrent use; construction is
-// cheap (map inserts only — servers are built and cached by the world).
+// cheap (map inserts and a copy of the noise layer — servers are built
+// and cached by the world).
 type Builder struct {
-	cfg    Config
-	shards []shard
-	hosts  int
-	built  bool
+	cfg        Config
+	shards     []shard
+	candidates bitset
+	hosts      int
+	built      bool
 }
 
 // NewBuilder starts a snapshot with one shard per universe prefix plus
-// a catch-all shard for out-of-universe hosts.
+// a catch-all shard for out-of-universe hosts, and a candidate bitset
+// holding the noise layer.
 func NewBuilder(cfg Config) (*Builder, error) {
 	if cfg.Universe == nil {
 		return nil, fmt.Errorf("worldview: nil universe")
+	}
+	noise := cfg.NoiseLayer
+	if noise == nil {
+		noise = NewNoiseLayer(cfg.Universe, cfg.Noise)
+	} else if !noise.Matches(cfg.Universe, cfg.Noise) {
+		return nil, fmt.Errorf("worldview: noise layer computed for another universe or noise model")
 	}
 	shards := make([]shard, cfg.Universe.NumPrefixes()+1)
 	for i := range shards {
@@ -101,7 +170,7 @@ func NewBuilder(cfg Config) (*Builder, error) {
 			excluded: make(map[netip.Addr]bool),
 		}
 	}
-	return &Builder{cfg: cfg, shards: shards}, nil
+	return &Builder{cfg: cfg, shards: shards, candidates: slices.Clone(noise.bits)}, nil
 }
 
 // shardFor maps an address to its prefix's shard; out-of-universe
@@ -115,7 +184,9 @@ func (b *Builder) shardFor(ip netip.Addr) *shard {
 }
 
 // AddHost registers one endpoint. Adding the same ip:port twice
-// replaces the previous handler, mirroring Network.Register.
+// replaces the previous handler, mirroring Network.Register. The
+// address's candidate bit is set at every linear index it has, one per
+// containing prefix when prefixes overlap.
 func (b *Builder) AddHost(ip netip.Addr, port, asn int, h simnet.ConnHandler) {
 	s := b.shardFor(ip)
 	key := netip.AddrPortFrom(ip, uint16(port))
@@ -124,6 +195,13 @@ func (b *Builder) AddHost(ip netip.Addr, port, asn int, h simnet.ConnHandler) {
 	}
 	s.hosts[key] = host{asn: asn, handler: h}
 	s.asOfIP[ip] = asn
+	u := b.cfg.Universe
+	for k := 0; k < u.NumPrefixes(); k++ {
+		p, start := u.Prefix(k)
+		if off, ok := p.IndexOf(ip); ok {
+			b.candidates.set(start + uint64(off))
+		}
+	}
 }
 
 // Exclude marks an IP as opted out (Appendix A.2): connects are
@@ -139,7 +217,7 @@ func (b *Builder) Build() *Snapshot {
 		panic("worldview: Build called twice")
 	}
 	b.built = true
-	return &Snapshot{cfg: b.cfg, shards: b.shards, hosts: b.hosts}
+	return &Snapshot{cfg: b.cfg, shards: b.shards, candidates: b.candidates, hosts: b.hosts}
 }
 
 // Snapshot is the immutable world at one wave. It satisfies
@@ -148,9 +226,10 @@ func (b *Builder) Build() *Snapshot {
 // number of snapshots can be scanned concurrently because nothing is
 // ever written after Build.
 type Snapshot struct {
-	cfg    Config
-	shards []shard
-	hosts  int
+	cfg        Config
+	shards     []shard
+	candidates bitset
+	hosts      int
 }
 
 // Compile-time check: snapshots satisfy the scanner's view interface.
@@ -187,17 +266,18 @@ func (s *Snapshot) OpenPort(ip netip.Addr, port int) bool {
 	return s.open(ip, port, s.cfg.Universe.PrefixIndex(ip))
 }
 
-// ProbeAt implements simnet.View. Universe.Locate returns the prefix
-// PrefixIndex would, so it indexes the shard directly and the probe
-// does no second search.
+// ProbeAt implements simnet.View. A clear candidate bit means no host
+// on any port and no noise hit, so the probe is closed with one bit
+// test. A set bit runs the exact check: Universe.Locate returns the
+// prefix PrefixIndex would, so it indexes the shard directly.
 //
 //studyvet:hotpath — called once per probed address
-func (s *Snapshot) ProbeAt(i uint64, port int) (netip.Addr, bool) {
-	ip, prefix := s.cfg.Universe.Locate(i)
-	if prefix < 0 {
-		return ip, false
+func (s *Snapshot) ProbeAt(i uint64, port int) bool {
+	if !s.candidates.has(i) {
+		return false
 	}
-	return ip, s.open(ip, port, prefix)
+	ip, prefix := s.cfg.Universe.Locate(i)
+	return prefix >= 0 && s.open(ip, port, prefix)
 }
 
 // open is the check OpenPort and ProbeAt share, given the address's
